@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race cover fuzz fuzz-search fuzz-cache fuzz-constraints fuzz-submit fuzz-tune fuzz-eco bench-json bench-smoke bench-shard-smoke bench-tune-smoke bench-constraint-smoke bench-eco-smoke serve-smoke clean
+.PHONY: check vet build test race cover fuzz fuzz-search fuzz-cache fuzz-extract fuzz-constraints fuzz-submit fuzz-tune fuzz-eco bench-json bench-smoke bench-shard-smoke bench-tune-smoke bench-constraint-smoke bench-eco-smoke serve-smoke clean
 
 check: vet build race cover bench-tune-smoke bench-eco-smoke
 
@@ -42,6 +42,15 @@ fuzz-cache:
 	$(GO) test ./internal/core -run FuzzCachedExtractionMatchesFresh \
 		-fuzz FuzzCachedExtractionMatchesFresh -fuzztime 30s
 
+# Short fuzz session over the extraction-equivalence property: the
+# window-proportional extraction must reproduce the original map-based
+# reference exactly on random grids — blockages, fixed cells, 1–4-row
+# cells, off-die windows, gap-inflating constraint sets and designs grown
+# by session inserts (docs/PERFORMANCE.md §10).
+fuzz-extract:
+	$(GO) test ./internal/core -run FuzzExtractMatchesReference \
+		-fuzz FuzzExtractMatchesReference -fuzztime 30s
+
 # Short fuzz session over the constraint-plugin admissibility property:
 # every plugin's lower-bound term must stay below the realized horizontal
 # cost of any candidate its own filters admit, and the best-first search
@@ -69,8 +78,9 @@ bench-constraint-smoke:
 # BENCH_eco.json (incremental session delta batches vs full
 # relegalization); see docs/PERFORMANCE.md. Results depend on the
 # machine; num_cpu, go_max_procs and speedup_valid are recorded in the
-# parallel, shard and eco artifacts — on a single-CPU box every speedup
-# field is suppressed.
+# parallel, shard and eco artifacts. The parallel and shard speedups are
+# suppressed on a single-CPU box; the eco speedups (serial vs serial) are
+# suppressed for runs whose repeat spreads overlap.
 bench-json:
 	$(GO) run ./cmd/mrbench -experiment parallel -scale 400 -workers 1,2,4 \
 		-json BENCH_parallel.json -no-progress
@@ -140,9 +150,10 @@ bench-eco-smoke:
 serve-smoke:
 	$(GO) run ./scripts/servesmoke
 
-# Quick allocation/latency smoke over the MLL hot path (CI gate).
+# Quick allocation/latency smoke over the MLL hot path (CI gate), plus
+# the row-length scaling of extraction (docs/PERFORMANCE.md §10).
 bench-smoke:
-	$(GO) test -run xxx -bench 'SingleMLLCall|RegionExtraction|InsertionPointEnumeration' \
+	$(GO) test -run xxx -bench 'SingleMLLCall|RegionExtraction|InsertionPointEnumeration|ExtractRowScaling' \
 		-benchtime 100x -benchmem .
 
 clean:

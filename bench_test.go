@@ -9,6 +9,7 @@ package mrlegal_test
 import (
 	"bytes"
 	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"mrlegal/internal/bengen"
@@ -16,6 +17,7 @@ import (
 	"mrlegal/internal/core"
 	"mrlegal/internal/design"
 	"mrlegal/internal/detailed"
+	"mrlegal/internal/dtest"
 	"mrlegal/internal/experiments"
 	"mrlegal/internal/geom"
 	"mrlegal/internal/gp"
@@ -275,6 +277,71 @@ func BenchmarkSingleMLLCall(b *testing.B) {
 		// Move each cell a few sites away and back: two MLL invocations.
 		if !l.MoveCell(id, float64(c.X+5), float64(c.Y)) {
 			continue
+		}
+	}
+}
+
+// BenchmarkExtractRowScaling times MLL calls on dies whose rows are 1×,
+// 4× and 16× as long at the same local density and window, through the
+// legalizer's reused scratch: each op moves a cell onto its right
+// neighbour's position, so the snapped target is occupied and the call
+// extracts a region. Extraction cost should follow the window, so
+// µs/op — and the extract-µs/op the phase timer reports — should stay
+// roughly flat as the rows grow (docs/PERFORMANCE.md §10).
+func BenchmarkExtractRowScaling(b *testing.B) {
+	for _, k := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("rowlen=%dx", k), func(b *testing.B) {
+			d := rowScalingDesign(22, 400*k)
+			cfg := core.DefaultConfig()
+			cfg.PhaseTiming = true
+			l, err := core.NewLegalizer(d, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewPCG(7, uint64(k)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				id := design.CellID(rng.IntN(len(d.Cells)))
+				c := d.Cell(id)
+				l.MoveCell(id, float64(c.X+c.W), float64(c.Y))
+			}
+			b.StopTimer()
+			mll := l.Stats().MLLCalls
+			if mll > 0 {
+				b.ReportMetric(float64(l.Phases().Extract.Microseconds())/float64(mll), "extract-µs/mll")
+			}
+		})
+	}
+}
+
+// rowScalingDesign fills rows rows of width sites left to right at ~0.6
+// density (widths 2–8, gaps 0–6, one cell in ten double-height), always
+// extending the row that is least filled so double-height cells leave
+// no long holes.
+func rowScalingDesign(rows, width int) *design.Design {
+	d := dtest.Flat(rows, width)
+	rng := rand.New(rand.NewPCG(1, uint64(width)))
+	cursor := make([]int, rows)
+	for {
+		y := 0
+		for r := range cursor {
+			if cursor[r] < cursor[y] {
+				y = r
+			}
+		}
+		w, gap := 2+rng.IntN(7), rng.IntN(7)
+		h := 1
+		x := cursor[y] + gap
+		if y+1 < rows && rng.IntN(10) == 0 {
+			h = 2
+			x = max(x, cursor[y+1]+gap)
+		}
+		if x+w > width {
+			return d
+		}
+		dtest.Placed(d, w, h, x, y)
+		for r := y; r < y+h; r++ {
+			cursor[r] = x + w
 		}
 	}
 }

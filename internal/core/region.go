@@ -14,9 +14,11 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
+	"math"
 	"slices"
+	"sort"
+	"sync"
 
 	"mrlegal/internal/design"
 	"mrlegal/internal/geom"
@@ -150,11 +152,79 @@ func (r *Region) AbsRow(rel int) int { return rel + r.Win.Y }
 // so the division iterates to a fixpoint (this is how cells like i and c
 // in Figure 3 end up non-local despite being inside the window).
 func ExtractRegion(g *segment.Grid, win geom.Rect) *Region {
-	return newScratch().extract(g, win)
+	// The per-cell stamps are only needed while extracting; borrowing
+	// them keeps a one-off extraction from allocating O(design) memory.
+	sc := newScratch()
+	st := stampPool.Get().(*cellStamps)
+	sc.local = *st
+	r := sc.extract(g, win)
+	*st, sc.local = sc.local, cellStamps{}
+	stampPool.Put(st)
+	return r
+}
+
+// stampPool recycles the stamp slices of ExtractRegion's throwaway
+// scratches.
+var stampPool = sync.Pool{New: func() any { return new(cellStamps) }}
+
+// cellStamps is a dense per-CellID stamp table that one extraction uses
+// as its candidate set and then as its ID → local index map, reset in
+// O(1). An extraction owns the stamp values base..base+locals: s[id] ==
+// base marks a local candidate not (yet) demoted, and once the local
+// cells are numbered s[id] == base+1+li records local index li. Every
+// value an earlier extraction left behind is below base, so nothing is
+// cleared between extractions. It replaces a per-extraction hash map: a
+// membership test on the extraction hot path is one load.
+type cellStamps struct {
+	s    []uint32
+	base uint32 // this extraction's candidate stamp
+	next uint32 // highest stamp value handed out so far
+}
+
+// reset empties the set and sizes it for IDs below n. The slice grows
+// with the design (session inserts) and is only rewritten when the
+// stamp values would run out.
+func (m *cellStamps) reset(n int) {
+	if len(m.s) < n {
+		m.s = append(m.s, make([]uint32, n-len(m.s))...)
+	}
+	if uint64(m.next)+uint64(n)+1 > math.MaxUint32 {
+		clear(m.s)
+		m.next = 0
+	}
+	m.base = m.next + 1 // 0 stays "never stamped"
+	m.next = m.base
+}
+
+func (m *cellStamps) add(id design.CellID)      { m.s[id] = m.base }
+func (m *cellStamps) remove(id design.CellID)   { m.s[id] = 0 }
+func (m *cellStamps) has(id design.CellID) bool { return m.s[id] == m.base }
+
+// number records that candidate id is local cell li.
+func (m *cellStamps) number(id design.CellID, li int) {
+	m.s[id] = m.base + 1 + uint32(li)
+	m.next = max(m.next, m.s[id])
+}
+
+// index returns the local index number recorded for id.
+func (m *cellStamps) index(id design.CellID) int32 { return int32(m.s[id] - m.base - 1) }
+
+// winSeg is one grid segment overlapping the window on one row, with
+// the index of the first cell in its list that starts at or right of the
+// window's left edge.
+type winSeg struct {
+	s     *segment.Segment
+	first int
 }
 
 // extract is ExtractRegion into this scratch's reusable storage. The
 // returned region aliases the scratch; the next extract invalidates it.
+//
+// Its cost follows the window, not the rows it crosses: each segment
+// overlapping the window is binary-searched once for its first cell at
+// the window's left edge, every later walk over its x-sorted list starts
+// there and stops at the window's right edge, and the fixpoint
+// re-divides only the rows whose non-local set changed.
 func (sc *scratch) extract(g *segment.Grid, win geom.Rect) *Region {
 	d := g.Design()
 	// Normalize the window to the grid: rows outside [0, NumRows) and
@@ -170,59 +240,91 @@ func (sc *scratch) extract(g *segment.Grid, win geom.Rect) *Region {
 	sc.multiRow = sc.multiRow[:0]
 	sc.candidates = sc.candidates[:0]
 	sc.sortedIDs = 0
-	clear(sc.nonLocal)
 	if win.Empty() {
 		r.Segs = nil
 		return r
 	}
 	winSpan := geom.Span{Lo: win.X, Hi: win.X2()}
 
-	// With gap-requiring constraints active, cells wholly outside the
-	// window but within MaxGap of its x-edges still constrain local
-	// cells; collect from the inflated window so their (inflated)
-	// spans participate in the subtraction below. Containment — and the
-	// cache key — stay on the un-inflated window.
-	infl := 0
-	colWin := win
-	if sc.cons != nil {
-		if infl = sc.cons.MaxGap(); infl > 0 {
-			colWin.X -= infl
-			colWin.W += 2 * infl
+	// Candidates are the movable cells completely inside the window; they
+	// stay in sc.local until demoted. Every other cell is non-local. A
+	// contained cell lies in the list of a segment of each row it spans,
+	// at or after the segment's first cell and before the first cell
+	// ending past win.X2 (lists are sorted by both edges, since cells on
+	// a row never overlap).
+	sc.local.reset(len(d.Cells))
+	sc.winSegs = sc.winSegs[:0]
+	sc.rowSegOff = grow(sc.rowSegOff, win.H+1)
+	for rel := 0; rel < win.H; rel++ {
+		sc.rowSegOff[rel] = int32(len(sc.winSegs))
+		for _, s := range g.RowSegments(win.Y + rel) {
+			if s.Span.Lo >= winSpan.Hi {
+				break
+			}
+			if s.Span.Hi <= winSpan.Lo {
+				continue
+			}
+			cells := s.Cells()
+			i := sort.Search(len(cells), func(i int) bool { return d.Cells[cells[i]].X >= win.X })
+			sc.winSegs = append(sc.winSegs, winSeg{s: s, first: i})
+			for _, id := range cells[i:] {
+				c := &d.Cells[id]
+				if c.X+c.W > winSpan.Hi {
+					break
+				}
+				if c.Fixed || sc.local.has(id) || c.Y < win.Y || c.Y+c.H > win.Y2() {
+					continue
+				}
+				sc.local.add(id)
+				sc.candidates = append(sc.candidates, id)
+			}
 		}
 	}
-	sc.all = g.CellsIn(colWin, sc.all[:0])
-	for _, id := range sc.all {
-		c := d.Cell(id)
-		if c.Fixed || !win.Contains(c.Rect()) {
-			sc.nonLocal[id] = true
-		} else {
-			sc.candidates = append(sc.candidates, id)
-		}
-	}
+	sc.rowSegOff[win.H] = int32(len(sc.winSegs))
 	slices.Sort(sc.candidates)
+
+	// With gap-requiring constraints active, movable non-local cells
+	// within MaxGap of a row's free space still constrain local cells;
+	// chooseLocalSeg subtracts their spans inflated by infl.
+	infl := 0
+	if sc.cons != nil {
+		infl = sc.cons.MaxGap()
+	}
 
 	centerX := win.X + win.W/2
 	sc.segs = grow(sc.segs, win.H)
 	r.Segs = sc.segs
+	dirty := grow(sc.rowDirty, win.H)
+	sc.rowDirty = dirty
+	for i := range dirty {
+		dirty[i] = true
+	}
 	for {
-		// Divide each window row into free runs and choose the run
-		// closest to the window centre.
-		for rel := 0; rel < win.H; rel++ {
-			y := win.Y + rel
-			r.Segs[rel] = chooseLocalSeg(g, d, y, winSpan, sc.nonLocal, centerX, infl)
+		// Divide each window row whose non-local set changed into free
+		// runs and choose the run closest to the window centre.
+		for rel, ok := range dirty {
+			if ok {
+				r.Segs[rel] = sc.chooseLocalSeg(d, win.Y+rel, sc.rowWinSegs(rel), winSpan, centerX, infl)
+				dirty[rel] = false
+			}
 		}
 		// Demote cells that are not fully inside the chosen local
-		// segments of every row they span.
+		// segments of every row they span; their rows are re-divided on
+		// the next pass.
 		changed := false
 		for _, id := range sc.candidates {
-			if sc.nonLocal[id] {
+			if !sc.local.has(id) {
 				continue
 			}
 			c := d.Cell(id)
+			sp := geom.Span{Lo: c.X, Hi: c.X + c.W}
 			for h := 0; h < c.H; h++ {
 				ls := &r.Segs[r.RelRow(c.Y+h)]
-				if !ls.Valid || !ls.Span.Contains(geom.Span{Lo: c.X, Hi: c.X + c.W}) {
-					sc.nonLocal[id] = true
+				if !ls.Valid || !ls.Span.Contains(sp) {
+					sc.local.remove(id)
+					for h := 0; h < c.H; h++ {
+						dirty[r.RelRow(c.Y+h)] = true
+					}
 					changed = true
 					break
 				}
@@ -236,7 +338,7 @@ func (sc *scratch) extract(g *segment.Grid, win geom.Rect) *Region {
 	// Populate the dense local-cell table (candidates are ID-sorted, so
 	// the local index order is the ID order).
 	for _, id := range sc.candidates {
-		if sc.nonLocal[id] {
+		if !sc.local.has(id) {
 			continue
 		}
 		c := d.Cell(id)
@@ -244,6 +346,7 @@ func (sc *scratch) extract(g *segment.Grid, win geom.Rect) *Region {
 		if sc.cons != nil {
 			cls = sc.cons.Class(d.MasterOf(id), c.W, c.H)
 		}
+		sc.local.number(id, len(sc.ids))
 		sc.ids = append(sc.ids, id)
 		sc.cells = append(sc.cells, localCell{id: id, x: c.X, y: c.Y, w: c.W, h: c.H, cls: cls})
 		if c.H > 1 {
@@ -254,29 +357,40 @@ func (sc *scratch) extract(g *segment.Grid, win geom.Rect) *Region {
 	n := len(sc.ids)
 
 	// Per-row cell lists (IDs and local indices, sorted by x) and the
-	// inverse position table. Each list keeps one slot of headroom so the
+	// inverse position table. A row's local cells are exactly the run of
+	// its chosen segment's list that starts inside the local span: every
+	// local cell spanning the row is contained in the span, and every
+	// non-local cell — inflated or not — was subtracted from it, so none
+	// starts inside. Each list keeps one slot of headroom so the
 	// realization's temporary target insert never reallocates.
 	sc.rowLists = growOuter(sc.rowLists, win.H)
 	sc.rowIdx = growOuter(sc.rowIdx, win.H)
 	sc.rowPos = growOuter(sc.rowPos, win.H)
 	for rel := range r.Segs {
 		ls := &r.Segs[rel]
-		idxs := sc.rowIdx[rel][:0]
+		var run []design.CellID
 		if ls.Valid {
-			for li := range sc.cells {
-				lc := &sc.cells[li]
-				if lc.y <= ls.Row && ls.Row < lc.y+lc.h {
-					idxs = append(idxs, int32(li))
+			for _, ws := range sc.rowWinSegs(rel) {
+				if !ws.s.Span.ContainsInt(ls.Span.Lo) {
+					continue
 				}
+				cells := ws.s.Cells()
+				i := ws.first
+				for i < len(cells) && d.Cells[cells[i]].X < ls.Span.Lo {
+					i++
+				}
+				j := i
+				for j < len(cells) && d.Cells[cells[j]].X < ls.Span.Hi {
+					j++
+				}
+				run = cells[i:j]
+				break
 			}
-			slices.SortFunc(idxs, func(a, b int32) int {
-				return cmp.Compare(sc.cells[a].x, sc.cells[b].x)
-			})
 		}
-		idxs = slices.Grow(idxs, 1)
-		lst := slices.Grow(sc.rowLists[rel][:0], len(idxs)+1)
-		for _, li := range idxs {
-			lst = append(lst, sc.ids[li])
+		idxs := slices.Grow(sc.rowIdx[rel][:0], len(run)+1)
+		lst := append(slices.Grow(sc.rowLists[rel][:0], len(run)+1), run...)
+		for _, id := range run {
+			idxs = append(idxs, sc.local.index(id))
 		}
 		sc.rowIdx[rel], sc.rowLists[rel] = idxs, lst
 		ls.Cells = lst
@@ -292,6 +406,12 @@ func (sc *scratch) extract(g *segment.Grid, win geom.Rect) *Region {
 	return r
 }
 
+// rowWinSegs returns the segments of window row rel that overlap the
+// window, left to right.
+func (sc *scratch) rowWinSegs(rel int) []winSeg {
+	return sc.winSegs[sc.rowSegOff[rel]:sc.rowSegOff[rel+1]]
+}
+
 // growOuter resizes a slice-of-slices to length n while keeping every
 // previously grown inner slice (and its capacity) reusable.
 func growOuter[T any](s [][]T, n int) [][]T {
@@ -304,8 +424,9 @@ func growOuter[T any](s [][]T, n int) [][]T {
 }
 
 // chooseLocalSeg divides row y inside winSpan by blockages/segment
-// boundaries and non-local cells and returns the free run closest to
-// centerX, per §2.1.3.
+// boundaries and non-local cells (those not in sc.local) and returns the
+// free run closest to centerX, per §2.1.3. segs are the row's segments
+// that overlap winSpan (rowWinSegs).
 //
 // infl (the constraint set's MaxGap, 0 without constraints) inflates
 // each MOVABLE non-local cell's subtracted span by infl on both sides:
@@ -313,15 +434,13 @@ func growOuter[T any](s [][]T, n int) [][]T {
 // every movable cell outside the local segments, which is what makes
 // cross-window gap enforcement sound. Fixed cells stay un-inflated —
 // they are walls, and the engine never requires gaps across walls.
-func chooseLocalSeg(g *segment.Grid, d *design.Design, y int, winSpan geom.Span, nonLocal map[design.CellID]bool, centerX, infl int) LocalSeg {
+func (sc *scratch) chooseLocalSeg(d *design.Design, y int, segs []winSeg, winSpan geom.Span, centerX, infl int) LocalSeg {
 	ls := LocalSeg{Row: y}
 	bestDist := 0
-	for _, s := range g.RowSegments(y) {
-		base := s.Span.Intersect(winSpan)
-		if base.Empty() {
-			continue
-		}
-		// Collect the spans of non-local cells on this row and subtract.
+	reach := max(infl, 0)
+	for _, ws := range segs {
+		base := ws.s.Span.Intersect(winSpan)
+		// Subtract the spans of non-local cells on this row.
 		cur := base.Lo
 		emit := func(lo, hi int) {
 			if hi <= lo {
@@ -337,11 +456,25 @@ func chooseLocalSeg(g *segment.Grid, d *design.Design, y int, winSpan geom.Span,
 				bestDist = dist
 			}
 		}
-		for _, id := range s.Cells() {
-			if !nonLocal[id] {
+		// Start at the first cell whose maximally inflated right edge
+		// passes base.Lo: right edges are sorted like the list, and every
+		// cell before it ends at or left of cur. Cells from ws.first on
+		// start at or right of base.Lo, so only the few straddling the
+		// window's left edge lie before it.
+		cells := ws.s.Cells()
+		i := ws.first
+		for i > 0 {
+			c := &d.Cells[cells[i-1]]
+			if c.X+c.W+reach <= base.Lo {
+				break
+			}
+			i--
+		}
+		for _, id := range cells[i:] {
+			if sc.local.has(id) {
 				continue
 			}
-			c := d.Cell(id)
+			c := &d.Cells[id]
 			// Cells are x-sorted; once even the maximal inflation cannot
 			// reach base.Hi, no later cell can either. (Breaking on a
 			// fixed cell's own un-inflated span would be wrong: a later
@@ -391,17 +524,19 @@ func spanDist(sp geom.Span, x int) int {
 func (r *Region) computeBounds() {
 	sc := r.sc
 	n := len(sc.cells)
-	sc.xOrder = grow(sc.xOrder, n)
-	for i := range sc.xOrder {
-		sc.xOrder[i] = int32(i)
+	// Local indices follow ID order, so (x, id) order is (x, index)
+	// order: sort packed keys, x relative to the window (every local cell
+	// is inside it) in the high half and the index in the low half.
+	keys := grow(sc.xKeys, n)
+	for i := range sc.cells {
+		keys[i] = uint64(sc.cells[i].x-r.Win.X)<<32 | uint64(i)
 	}
-	slices.SortFunc(sc.xOrder, func(a, b int32) int {
-		ca, cb := &sc.cells[a], &sc.cells[b]
-		if ca.x != cb.x {
-			return cmp.Compare(ca.x, cb.x)
-		}
-		return cmp.Compare(ca.id, cb.id)
-	})
+	slices.Sort(keys)
+	sc.xKeys = keys
+	sc.xOrder = grow(sc.xOrder, n)
+	for i, k := range keys {
+		sc.xOrder[i] = int32(uint32(k))
+	}
 	cons := sc.cons
 	if cons != nil {
 		// Per-row index of the most recently squeezed cell, for the

@@ -14,7 +14,7 @@ import (
 // outside Stats so the deterministic activity counters stay comparable
 // across runs with == (wall-clock durations never are).
 type PhaseTimes struct {
-	Extract   time.Duration // ExtractRegion (§2.1.3 fixpoint + bounds)
+	Extract   time.Duration // extraction-cache lookup + ExtractRegion (§2.1.3 fixpoint + bounds)
 	Enumerate time.Duration // scanline insertion-point enumeration (§5.1.3)
 	Evaluate  time.Duration // insertion-point scoring (§5.2)
 	Realize   time.Duration // push-propagation commits (§5.3)
@@ -72,19 +72,22 @@ type scratch struct {
 	region Region
 
 	// --- region extraction ---
-	all        []design.CellID        // window cell collection buffer
-	nonLocal   map[design.CellID]bool // demoted cells; cleared per extract
-	candidates []design.CellID        // movable fully-contained cells, by ID
-	ids        []design.CellID        // local cells, ascending ID; local index = position
-	cells      []localCell            // parallel to ids
-	sortedIDs  int                    // ids[:sortedIDs] is sorted; Realize appends its target past it
-	multiRow   []int32                // local indices of cells with h > 1
-	segs       []LocalSeg             // backing for Region.Segs
-	rowLists   [][]design.CellID      // per-row cell lists backing LocalSeg.Cells
-	rowIdx     [][]int32              // per-row local indices, parallel to rowLists
-	rowPos     [][]int32              // rowPos[rel][li] = position of local cell li in row rel, -1 when absent
-	xOrder     []int32                // local indices sorted by (x, id)
-	cursor     []int                  // computeBounds per-row cursor
+	local      cellStamps        // candidates not (yet) demoted to non-local
+	rowDirty   []bool            // window rows to re-divide on the next fixpoint pass
+	winSegs    []winSeg          // segments overlapping the window, row by row
+	rowSegOff  []int32           // window row rel owns winSegs[rowSegOff[rel]:rowSegOff[rel+1]]
+	candidates []design.CellID   // movable fully-contained cells, by ID
+	ids        []design.CellID   // local cells, ascending ID; local index = position
+	cells      []localCell       // parallel to ids
+	sortedIDs  int               // ids[:sortedIDs] is sorted; Realize appends its target past it
+	multiRow   []int32           // local indices of cells with h > 1
+	segs       []LocalSeg        // backing for Region.Segs
+	rowLists   [][]design.CellID // per-row cell lists backing LocalSeg.Cells
+	rowIdx     [][]int32         // per-row local indices, parallel to rowLists
+	rowPos     [][]int32         // rowPos[rel][li] = position of local cell li in row rel, -1 when absent
+	xOrder     []int32           // local indices sorted by (x, id)
+	xKeys      []uint64          // computeBounds sort keys: x offset << 32 | local index
+	cursor     []int             // computeBounds per-row cursor
 
 	// --- enumeration ---
 	intervals []Interval   // interval slab; stable once enumeration starts
@@ -159,8 +162,7 @@ type scratch struct {
 }
 
 func newScratch() *scratch {
-	sc := &scratch{nonLocal: make(map[design.CellID]bool), worker: -1,
-		tunePromote: -1, tuneWinDepth: -1, curWinRank: -1}
+	sc := &scratch{worker: -1, tunePromote: -1, tuneWinDepth: -1, curWinRank: -1}
 	sc.region.sc = sc
 	return sc
 }

@@ -9,6 +9,7 @@ import (
 	"mrlegal/internal/bengen"
 	"mrlegal/internal/core"
 	"mrlegal/internal/design"
+	"mrlegal/internal/geom"
 	"mrlegal/internal/verify"
 )
 
@@ -403,5 +404,69 @@ func TestSessionStatsString(t *testing.T) {
 	}
 	if got := core.DeltaOp(42).String(); got != fmt.Sprintf("op(%d)", 42) {
 		t.Fatalf("unknown op string = %q", got)
+	}
+}
+
+// sessionGrowthChecksum is the placement checksum the original map-based
+// extraction (region_ref_test.go's refExtract, then the engine's only
+// extraction) produced for TestSessionExtractAfterDesignGrowth's
+// sequence; the window-proportional extraction must reproduce it.
+const sessionGrowthChecksum = "2ed2786ad72297be"
+
+// TestSessionExtractAfterDesignGrowth grows the design through session
+// inserts past the size the extraction stamps were first allocated for,
+// then moves one of the new cells onto another so the MLL call extracts a
+// window holding new cells: no panic, a legal fixed point, an extraction
+// identical to the reference implementation's, and the reference
+// placement checksum.
+func TestSessionExtractAfterDesignGrowth(t *testing.T) {
+	s, l := legalSession(t, 2000, 17, func(c *core.Config) { c.ExtractCache = false })
+	d := l.D
+	// One MLL call through the session sizes the stamps for the design
+	// as legalized: move a cell onto the cell just right of it.
+	anchor := d.Cell(movableCells(d)[len(d.Cells)/2])
+	if _, err := s.ApplyDelta(context.Background(), []core.Delta{{
+		Op: core.DeltaMove, Cell: anchor.ID, TX: float64(anchor.X + anchor.W), TY: float64(anchor.Y),
+	}}); err != nil {
+		t.Fatalf("initial move: %v", err)
+	}
+	stamps0 := core.ExtractStampLen(l)
+	if stamps0 != len(d.Cells) {
+		t.Fatalf("stamp slice holds %d ids for %d cells before growth", stamps0, len(d.Cells))
+	}
+	var added []core.DeltaResult
+	for i := 0; len(d.Cells) <= stamps0+32; i++ {
+		rep, err := s.ApplyDelta(context.Background(), []core.Delta{{
+			Op: core.DeltaInsert, Master: anchor.Master,
+			TX: float64(anchor.X + 3*(i%8)), TY: float64(anchor.Y + i/8%3),
+		}})
+		if err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+		added = append(added, rep.Results...)
+	}
+
+	mll0 := l.Stats().MLLCalls
+	mover, onto := added[len(added)-1], added[len(added)-2]
+	if _, err := s.ApplyDelta(context.Background(), []core.Delta{{
+		Op: core.DeltaMove, Cell: mover.Cell, TX: float64(onto.X), TY: float64(onto.Y),
+	}}); err != nil {
+		t.Fatalf("move onto a new cell: %v", err)
+	}
+	if l.Stats().MLLCalls == mll0 {
+		t.Fatal("the move was placed directly; no window was extracted")
+	}
+	if n := core.ExtractStampLen(l); n < len(d.Cells) {
+		t.Fatalf("stamp slice holds %d ids for %d cells after growth", n, len(d.Cells))
+	}
+	c := d.Cell(mover.Cell)
+	rx, ry := l.Cfg.Rx, l.Cfg.Ry
+	win := geom.Rect{X: c.X - rx, Y: c.Y - ry, W: 2*rx + c.W, H: 2*ry + c.H}
+	if err := core.MatchesReferenceExtraction(l, win); err != nil {
+		t.Fatalf("extraction around the moved cell: %v", err)
+	}
+	assertSessionLegal(t, s)
+	if got := fmt.Sprintf("%016x", d.PlacementChecksum()); got != sessionGrowthChecksum {
+		t.Fatalf("placement checksum %s, reference extraction gives %s", got, sessionGrowthChecksum)
 	}
 }

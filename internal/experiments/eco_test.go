@@ -32,13 +32,24 @@ func TestRunEcoSmoke(t *testing.T) {
 	if run.WallIncrementalSeconds <= 0 || run.WallFullSeconds <= 0 {
 		t.Fatalf("missing wall times: %+v", run)
 	}
-	// The honesty gate: speedups only on multi-CPU machines, and never
-	// without verification. Wall times are reported either way.
-	if run.SpeedupValid && rep.NumCPU <= 1 {
-		t.Fatal("speedup_valid on a single-CPU machine")
+	if run.WallIncrementalMaxSeconds < run.WallIncrementalSeconds || run.WallFullMaxSeconds < run.WallFullSeconds {
+		t.Fatalf("max wall below min wall: %+v", run)
+	}
+	// The honesty gate: a speedup needs a verified run whose repeat
+	// spreads do not overlap; core count plays no part in a serial-vs-
+	// serial comparison. Wall times are reported either way.
+	if run.SpeedupValid != (run.WallIncrementalMaxSeconds < run.WallFullSeconds) {
+		t.Fatalf("speedup_valid=%v disagrees with inc max %v < full min %v",
+			run.SpeedupValid, run.WallIncrementalMaxSeconds, run.WallFullSeconds)
 	}
 	if !run.SpeedupValid && run.SpeedupVsFull != 0 {
 		t.Fatalf("ungated speedup %v", run.SpeedupVsFull)
+	}
+	if run.SpeedupValid && run.SpeedupVsFull != run.WallFullSeconds/run.WallIncrementalSeconds {
+		t.Fatalf("speedup %v is not full min / inc min", run.SpeedupVsFull)
+	}
+	if rep.SpeedupValid != run.SpeedupValid {
+		t.Fatalf("report speedup_valid=%v with its only run at %v", rep.SpeedupValid, run.SpeedupValid)
 	}
 
 	var buf bytes.Buffer
@@ -53,6 +64,32 @@ func TestRunEcoSmoke(t *testing.T) {
 		t.Fatal("JSON roundtrip lost the checksum")
 	}
 	PrintEco(&buf, rep)
+}
+
+// TestEcoSpeedupGate pins the gate on its inputs: verification and
+// non-overlapping repeat spreads, never the machine's core count.
+func TestEcoSpeedupGate(t *testing.T) {
+	ok := EcoRun{Legal: true, FixedPoint: true,
+		WallIncrementalSeconds: 0.001, WallIncrementalMaxSeconds: 0.002,
+		WallFullSeconds: 0.01, WallFullMaxSeconds: 0.02}
+	for _, tc := range []struct {
+		name string
+		mut  func(*EcoRun)
+		want bool
+	}{
+		{"separated spreads", func(*EcoRun) {}, true},
+		{"overlapping spreads", func(r *EcoRun) { r.WallIncrementalMaxSeconds = 0.011 }, false},
+		{"touching spreads", func(r *EcoRun) { r.WallIncrementalMaxSeconds = r.WallFullSeconds }, false},
+		{"illegal", func(r *EcoRun) { r.Legal = false }, false},
+		{"not a fixed point", func(r *EcoRun) { r.FixedPoint = false }, false},
+		{"errored", func(r *EcoRun) { r.Err = "boom" }, false},
+	} {
+		r := ok
+		tc.mut(&r)
+		if got := r.speedupGate(); got != tc.want {
+			t.Errorf("%s: gate = %v, want %v", tc.name, got, tc.want)
+		}
+	}
 }
 
 // TestEcoEquivalence is the CI equivalence smoke (docs/PERFORMANCE.md

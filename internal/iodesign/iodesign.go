@@ -43,32 +43,55 @@ func Write(w io.Writer, d *design.Design, nl *netlist.Netlist) error {
 		m := &d.Lib[i]
 		fmt.Fprintf(bw, "master %s %d %d %v\n", escape(m.Name), m.Width, m.Height, m.BottomRail)
 	}
+	// Cell and net lines dominate the output; each is built in one reused
+	// buffer with strconv (AppendFloat 'g', -1 is exactly %g for float64)
+	// instead of one fmt call per field.
+	var buf []byte
 	for i := range d.Cells {
 		c := &d.Cells[i]
-		fmt.Fprintf(bw, "cell %s %d %g %g", escape(c.Name), c.Master, c.GX, c.GY)
+		buf = append(buf[:0], "cell "...)
+		buf = append(buf, escape(c.Name)...)
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, int64(c.Master), 10)
+		buf = appendFloat(buf, c.GX)
+		buf = appendFloat(buf, c.GY)
 		if c.Placed {
-			fmt.Fprintf(bw, " @ %d %d", c.X, c.Y)
+			buf = append(buf, " @ "...)
+			buf = strconv.AppendInt(buf, int64(c.X), 10)
+			buf = append(buf, ' ')
+			buf = strconv.AppendInt(buf, int64(c.Y), 10)
 		}
 		if c.Fixed {
-			fmt.Fprintf(bw, " fixed")
+			buf = append(buf, " fixed"...)
 		}
-		fmt.Fprintln(bw)
+		buf = append(buf, '\n')
+		bw.Write(buf)
 	}
 	if nl != nil {
 		for i := range nl.Nets {
 			n := &nl.Nets[i]
-			fmt.Fprintf(bw, "net %s", escape(n.Name))
+			buf = append(buf[:0], "net "...)
+			buf = append(buf, escape(n.Name)...)
 			for _, p := range n.Pins {
 				if p.Cell == design.NoCell {
-					fmt.Fprintf(bw, " - %g %g", p.DX, p.DY)
+					buf = append(buf, " -"...)
 				} else {
-					fmt.Fprintf(bw, " %d %g %g", p.Cell, p.DX, p.DY)
+					buf = append(buf, ' ')
+					buf = strconv.AppendInt(buf, int64(p.Cell), 10)
 				}
+				buf = appendFloat(buf, p.DX)
+				buf = appendFloat(buf, p.DY)
 			}
-			fmt.Fprintln(bw)
+			buf = append(buf, '\n')
+			bw.Write(buf)
 		}
 	}
 	return bw.Flush()
+}
+
+// appendFloat appends a space and f formatted as %g.
+func appendFloat(buf []byte, f float64) []byte {
+	return strconv.AppendFloat(append(buf, ' '), f, 'g', -1, 64)
 }
 
 func escape(s string) string {
