@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race cover fuzz fuzz-search fuzz-cache fuzz-extract fuzz-constraints fuzz-submit fuzz-tune fuzz-eco bench-json bench-smoke bench-shard-smoke bench-tune-smoke bench-constraint-smoke bench-eco-smoke serve-smoke clean
+.PHONY: check vet build test race cover fuzz fuzz-search fuzz-cache fuzz-extract fuzz-checksum fuzz-constraints fuzz-submit fuzz-tune fuzz-eco bench-json bench-smoke bench-shard-smoke bench-tune-smoke bench-constraint-smoke bench-eco-smoke serve-smoke clean
 
 check: vet build race cover bench-tune-smoke bench-eco-smoke
 
@@ -50,6 +50,15 @@ fuzz-cache:
 fuzz-extract:
 	$(GO) test ./internal/core -run FuzzExtractMatchesReference \
 		-fuzz FuzzExtractMatchesReference -fuzztime 30s
+
+# Short fuzz session over the placement-checksum equivalence property:
+# the zero-byte-skipping PlacementChecksum must equal the byte-serial
+# FNV-1a reference on arbitrary rosters — negative and 64-bit
+# coordinates, wide IDs, unplaced/dead/fixed cells, every Orient byte
+# (docs/PERFORMANCE.md §11).
+fuzz-checksum:
+	$(GO) test ./internal/design -run FuzzPlacementChecksumMatchesReference \
+		-fuzz FuzzPlacementChecksumMatchesReference -fuzztime 30s
 
 # Short fuzz session over the constraint-plugin admissibility property:
 # every plugin's lower-bound term must stay below the realized horizontal
@@ -151,10 +160,13 @@ serve-smoke:
 	$(GO) run ./scripts/servesmoke
 
 # Quick allocation/latency smoke over the MLL hot path (CI gate), plus
-# the row-length scaling of extraction (docs/PERFORMANCE.md §10).
+# the row-length scaling of extraction (docs/PERFORMANCE.md §10) and the
+# 20k-cell placement checksum, which must stay at 0 allocs/op
+# (docs/PERFORMANCE.md §11).
 bench-smoke:
 	$(GO) test -run xxx -bench 'SingleMLLCall|RegionExtraction|InsertionPointEnumeration|ExtractRowScaling' \
 		-benchtime 100x -benchmem .
+	$(GO) test -run xxx -bench 'PlacementChecksum$$' -benchtime 100x -benchmem ./internal/design
 
 clean:
 	$(GO) clean ./...

@@ -132,6 +132,7 @@ func (l *Legalizer) run(ctx context.Context) (*Report, error) {
 	if err != nil {
 		return rep, err
 	}
+	t.spanOnly = l.Cfg.AuditEvery <= 0
 	st.txn = t
 
 	for k := 1; len(unplaced) > 0; k++ {

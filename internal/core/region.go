@@ -524,18 +524,11 @@ func spanDist(sp geom.Span, x int) int {
 func (r *Region) computeBounds() {
 	sc := r.sc
 	n := len(sc.cells)
-	// Local indices follow ID order, so (x, id) order is (x, index)
-	// order: sort packed keys, x relative to the window (every local cell
-	// is inside it) in the high half and the index in the low half.
-	keys := grow(sc.xKeys, n)
-	for i := range sc.cells {
-		keys[i] = uint64(sc.cells[i].x-r.Win.X)<<32 | uint64(i)
-	}
-	slices.Sort(keys)
-	sc.xKeys = keys
 	sc.xOrder = grow(sc.xOrder, n)
-	for i, k := range keys {
-		sc.xOrder[i] = int32(uint32(k))
+	if r.Win.W <= countingSortSpread*n {
+		sc.xOrderByCount(r.Win.X, r.Win.W)
+	} else {
+		sc.xOrderBySort(r.Win.X)
 	}
 	cons := sc.cons
 	if cons != nil {
@@ -629,6 +622,50 @@ func (r *Region) computeBounds() {
 				sc.conPrev[rel] = li
 			}
 		}
+	}
+}
+
+// countingSortSpread is the largest window width per local cell, in
+// sites, for which computeBounds orders cells by counting sort: its
+// O(width) bucket passes beat the O(n log n) key sort up to about eight
+// sites per cell. Sparse windows — late escalated rounds — use the sort.
+const countingSortSpread = 8
+
+// xOrderByCount fills sc.xOrder with the local indices in (x, index)
+// order — which is (x, id) order, as local indices follow ID order — by
+// a stable counting sort on x - winX. Every local cell lies inside the
+// window, so the offsets fall in [0, winW).
+func (sc *scratch) xOrderByCount(winX, winW int) {
+	cnt := grow(sc.xCount, winW)
+	clear(cnt)
+	for i := range sc.cells {
+		cnt[sc.cells[i].x-winX]++
+	}
+	start := int32(0)
+	for off, c := range cnt {
+		cnt[off] = start
+		start += c
+	}
+	for i := range sc.cells {
+		off := sc.cells[i].x - winX
+		sc.xOrder[cnt[off]] = int32(i)
+		cnt[off]++
+	}
+	sc.xCount = cnt
+}
+
+// xOrderBySort fills sc.xOrder with the same order as xOrderByCount by
+// sorting packed keys: the x offset in the high half, the local index in
+// the low half.
+func (sc *scratch) xOrderBySort(winX int) {
+	keys := grow(sc.xKeys, len(sc.cells))
+	for i := range sc.cells {
+		keys[i] = uint64(sc.cells[i].x-winX)<<32 | uint64(i)
+	}
+	slices.Sort(keys)
+	sc.xKeys = keys
+	for i, k := range keys {
+		sc.xOrder[i] = int32(uint32(k))
 	}
 }
 

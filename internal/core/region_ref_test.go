@@ -227,6 +227,9 @@ func diffExtraction(got, want *scratch) error {
 			return fmt.Errorf("xOrder not sorted by (x, id) at %d: %v", i, got.xOrder)
 		}
 	}
+	if ref := refXOrder(got.cells, rg.Win.X); !slices.Equal(got.xOrder, ref) {
+		return fmt.Errorf("xOrder %v, sorted-keys order %v", got.xOrder, ref)
+	}
 	if !slices.Equal(got.multiRow, want.multiRow) || !slices.Equal(got.xOrder, want.xOrder) {
 		return fmt.Errorf("multiRow/xOrder differ: %v %v / %v %v", got.multiRow, want.multiRow, got.xOrder, want.xOrder)
 	}
@@ -243,6 +246,49 @@ func diffExtraction(got, want *scratch) error {
 		}
 	}
 	return nil
+}
+
+// refXOrder is computeBounds' original cell order: local indices sorted
+// by the packed key (x - winX) << 32 | index, i.e. by (x, index).
+func refXOrder(cells []localCell, winX int) []int32 {
+	keys := make([]uint64, len(cells))
+	for i := range cells {
+		keys[i] = uint64(cells[i].x-winX)<<32 | uint64(i)
+	}
+	slices.Sort(keys)
+	order := make([]int32, len(keys))
+	for i, k := range keys {
+		order[i] = int32(uint32(k))
+	}
+	return order
+}
+
+// TestXOrderMatchesSortedKeys pins both computeBounds orderings — the
+// counting sort and the key-sort fallback — to the sorted-keys order on
+// random local-cell sets: windows from one column to far wider than
+// countingSortSpread sites per cell, with many x ties.
+func TestXOrderMatchesSortedKeys(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 11))
+	sc := newScratch()
+	for trial := 0; trial < 2000; trial++ {
+		n := rng.IntN(80)
+		winX, winW := rng.IntN(200)-100, 1+rng.IntN(1+countingSortSpread*max(n, 1)*2)
+		sc.cells = sc.cells[:0]
+		for i := 0; i < n; i++ {
+			sc.cells = append(sc.cells, localCell{id: design.CellID(i), x: winX + rng.IntN(winW)})
+		}
+		want := refXOrder(sc.cells, winX)
+		sc.xOrder = grow(sc.xOrder, n)
+		sc.xOrderByCount(winX, winW)
+		if !slices.Equal(sc.xOrder, want) {
+			t.Fatalf("trial %d (n=%d, W=%d): counting order %v, want %v", trial, n, winW, sc.xOrder, want)
+		}
+		clear(sc.xOrder)
+		sc.xOrderBySort(winX)
+		if !slices.Equal(sc.xOrder, want) {
+			t.Fatalf("trial %d (n=%d, W=%d): sorted order %v, want %v", trial, n, winW, sc.xOrder, want)
+		}
+	}
 }
 
 // MatchesReferenceExtraction extracts win with the legalizer's own serial

@@ -210,6 +210,7 @@ func (l *Legalizer) placeRoundShard(cells []design.CellID, targets []planTarget,
 	var wg sync.WaitGroup
 	for s := 0; s <= K; s++ {
 		w := &shardWorker{shard: s, wid: s, sc: l.shardScrs[s], txn: newDetachedTxn(l)}
+		w.txn.spanOnly = l.Cfg.AuditEvery <= 0
 		if s == K {
 			w.shard = sched.SeamShard
 			w.idxs = seam

@@ -27,6 +27,12 @@ type Txn struct {
 	latest   map[design.CellID]int // latest log index per cell, for dedup
 	lastMark int
 	done     bool
+	// spanOnly makes Mark drop every record before the new savepoint, so
+	// the log holds only the current span. A run's batch transaction sets
+	// it when no audit is configured: nothing then rolls back further
+	// than the latest attempt's savepoint, and the older records would
+	// only grow the log by one cell snapshot per touch of the whole run.
+	spanOnly bool
 }
 
 // undoRec snapshots one cell immediately before its first mutation in the
@@ -80,8 +86,18 @@ func (t *Txn) touch(id design.CellID) {
 	t.latest[id] = len(t.log) - 1
 }
 
-// Mark places a savepoint and returns its handle for RollbackTo.
+// Mark places a savepoint and returns its handle for RollbackTo. On a
+// spanOnly transaction earlier savepoints become invalid: the log is
+// emptied first, so the handle is always 0.
 func (t *Txn) Mark() int {
+	if t.spanOnly {
+		// Records of one span name distinct cells (touch dedups them),
+		// so this empties the index along with the log.
+		for i := range t.log {
+			delete(t.latest, t.log[i].id)
+		}
+		t.log = t.log[:0]
+	}
 	t.lastMark = len(t.log)
 	return t.lastMark
 }

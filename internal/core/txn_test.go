@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
+	"mrlegal/internal/bengen"
 	"mrlegal/internal/design"
 	"mrlegal/internal/dtest"
+	"mrlegal/internal/gp"
 	"mrlegal/internal/verify"
 )
 
@@ -167,5 +170,89 @@ func TestTxnNestedBeginFails(t *testing.T) {
 	txn.Commit()
 	if _, err := l.Begin(); err != nil {
 		t.Fatalf("Begin after Commit = %v", err)
+	}
+}
+
+// undoLogProbe samples the active transaction's undo log at every grid
+// insert and mid-realization hook — points inside an attempt, after its
+// savepoint. It never injects a fault.
+type undoLogProbe struct {
+	l        *Legalizer
+	samples  int
+	older    int // samples holding a record from before the attempt's savepoint
+	maxLen   int
+	maxTotal int // the same without spanOnly, for the control run
+}
+
+func (p *undoLogProbe) sample() {
+	t := p.l.txn
+	if t == nil {
+		return
+	}
+	p.samples++
+	p.maxLen = max(p.maxLen, len(t.log)-t.lastMark)
+	p.maxTotal = max(p.maxTotal, len(t.log))
+	if t.lastMark != 0 || len(t.log) != len(t.latest) {
+		p.older++
+		return
+	}
+	for i := range t.log {
+		if t.log[i].prevIdx >= 0 {
+			p.older++
+			return
+		}
+	}
+}
+
+func (p *undoLogProbe) OnGridInsert(design.CellID) error { p.sample(); return nil }
+func (p *undoLogProbe) OnRealize(design.CellID)          { p.sample() }
+func (p *undoLogProbe) OnAudit() bool                    { return false }
+
+// TestRunUndoLogHoldsOneAttempt pins the bound on the run-wide batch
+// log: without audits nothing rolls back past an attempt's savepoint, so
+// at every mutation point of a full Table-1 run — serial, claim-board
+// parallel and sharded — the log holds only the current attempt's
+// records. With audits on, the batch log must still span attempts
+// (audit rollbacks unwind whole batches).
+func TestRunUndoLogHoldsOneAttempt(t *testing.T) {
+	scale := 1500
+	if testing.Short() {
+		scale = 4000
+	}
+	drivers := []struct {
+		name            string
+		workers, shards int
+	}{{"serial", 1, 0}, {"parallel", 2, 0}, {"shards", 1, 4}}
+	for _, spec := range bengen.Table1Specs(scale) {
+		b := bengen.Generate(spec)
+		gp.Place(b.D, b.NL, gp.Config{Seed: spec.Seed})
+		for _, drv := range drivers {
+			for _, audit := range []int{0, 50} {
+				cfg := DefaultConfig()
+				cfg.Workers, cfg.Shards, cfg.AuditEvery = drv.workers, drv.shards, audit
+				probe := &undoLogProbe{}
+				cfg.Faults = probe
+				l, err := NewLegalizer(b.D.Clone(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				probe.l = l
+				if _, err := l.LegalizeBestEffort(context.Background()); err != nil {
+					t.Fatalf("%s/%s audit=%d: %v", spec.Name, drv.name, audit, err)
+				}
+				if probe.samples == 0 {
+					t.Fatalf("%s/%s: probe never fired; test is vacuous", spec.Name, drv.name)
+				}
+				if audit == 0 {
+					if probe.older != 0 || probe.maxTotal != probe.maxLen {
+						t.Errorf("%s/%s: %d of %d samples kept records from earlier attempts (log %d, attempt span %d)",
+							spec.Name, drv.name, probe.older, probe.samples, probe.maxTotal, probe.maxLen)
+					}
+				} else if probe.maxTotal <= probe.maxLen {
+					t.Errorf("%s/%s audit=%d: batch log never spanned attempts (max %d)",
+						spec.Name, drv.name, audit, probe.maxTotal)
+				}
+			}
+		}
 	}
 }
