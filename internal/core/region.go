@@ -525,11 +525,7 @@ func (r *Region) computeBounds() {
 	sc := r.sc
 	n := len(sc.cells)
 	sc.xOrder = grow(sc.xOrder, n)
-	if r.Win.W <= countingSortSpread*n {
-		sc.xOrderByCount(r.Win.X, r.Win.W)
-	} else {
-		sc.xOrderBySort(r.Win.X)
-	}
+	sc.xOrderByCount(r.Win.X, r.Win.W)
 	cons := sc.cons
 	if cons != nil {
 		// Per-row index of the most recently squeezed cell, for the
@@ -625,12 +621,6 @@ func (r *Region) computeBounds() {
 	}
 }
 
-// countingSortSpread is the largest window width per local cell, in
-// sites, for which computeBounds orders cells by counting sort: its
-// O(width) bucket passes beat the O(n log n) key sort up to about eight
-// sites per cell. Sparse windows — late escalated rounds — use the sort.
-const countingSortSpread = 8
-
 // xOrderByCount fills sc.xOrder with the local indices in (x, index)
 // order — which is (x, id) order, as local indices follow ID order — by
 // a stable counting sort on x - winX. Every local cell lies inside the
@@ -652,21 +642,6 @@ func (sc *scratch) xOrderByCount(winX, winW int) {
 		cnt[off]++
 	}
 	sc.xCount = cnt
-}
-
-// xOrderBySort fills sc.xOrder with the same order as xOrderByCount by
-// sorting packed keys: the x offset in the high half, the local index in
-// the low half.
-func (sc *scratch) xOrderBySort(winX int) {
-	keys := grow(sc.xKeys, len(sc.cells))
-	for i := range sc.cells {
-		keys[i] = uint64(sc.cells[i].x-winX)<<32 | uint64(i)
-	}
-	slices.Sort(keys)
-	sc.xKeys = keys
-	for i, k := range keys {
-		sc.xOrder[i] = int32(uint32(k))
-	}
 }
 
 // checkBounds validates xL ≤ x ≤ xR for every local cell; the input

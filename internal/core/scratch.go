@@ -86,7 +86,6 @@ type scratch struct {
 	rowIdx     [][]int32         // per-row local indices, parallel to rowLists
 	rowPos     [][]int32         // rowPos[rel][li] = position of local cell li in row rel, -1 when absent
 	xOrder     []int32           // local indices sorted by (x, id)
-	xKeys      []uint64          // xOrderBySort keys: x offset << 32 | local index
 	xCount     []int32           // xOrderByCount buckets, one per window column
 	cursor     []int             // computeBounds per-row cursor
 

@@ -32,6 +32,10 @@ type Txn struct {
 	// it when no audit is configured: nothing then rolls back further
 	// than the latest attempt's savepoint, and the older records would
 	// only grow the log by one cell snapshot per touch of the whole run.
+	// Opening no batch transaction at all, so that attempt owns one per
+	// cell, bounds the log too but allocates a Txn, its map and its log
+	// on every attempt: on the flow-100k benchmark that cost 19 % more
+	// cpu_s and 17 % more peak_rss_mb than this (docs/PERFORMANCE.md §11).
 	spanOnly bool
 }
 

@@ -61,7 +61,12 @@ func (d *Design) PlacementChecksum() uint64 {
 // bytes, so it multiplies by fnvPrime64^(1+k). Words below 2^16 — the
 // IDs and coordinates of all but the largest designs — take two steps
 // with no data-dependent branch: a zero second byte is then stepped
-// like any other, which is still exact.
+// like any other, which is still exact. This case and PlacementChecksum's
+// one-step flags case are worth their lines: on BenchmarkPlacementChecksum
+// the general loop alone (n floored at 1) takes 0.28–0.33 ms/op against
+// 0.22–0.23 ms with both, and either case alone 0.26–0.27 ms —
+// presumably because the loop's trip count changes from word to word
+// and its exit branch mispredicts.
 func fnvMixWord(h, v uint64) uint64 {
 	if v < 1<<16 {
 		return ((h^v&0xff)*fnvPrime64 ^ v>>8) * fnvPrimePow[7]
